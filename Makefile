@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
+.PHONY: ci fmt vet build cross test wallbench-test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke bench bench-snapshot
 
 # ci is the tier-1 gate: everything must pass before a change lands.
-ci: fmt vet build cross test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
+ci: fmt vet build cross test wallbench-test race trace-smoke prof-selftest watchdog-smoke prov-smoke incr-smoke bench-gate fuzz-smoke
 
 # fmt fails when any tracked file is not gofmt-clean (prints offenders).
 fmt:
@@ -24,6 +24,13 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# wallbench-test runs the wall-clock benchmark's own tests. wallbench/ is
+# a separate Go module (it imports internal/ through a replace), so the
+# root `go test ./...` skips it and an internal/ API change could break
+# the benchmark unseen.
+wallbench-test:
+	cd wallbench && $(GO) test ./...
 
 # race re-runs the concurrency-heavy packages under the race detector:
 # the streaming engine, the sharded summary database, the solver's

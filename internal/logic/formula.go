@@ -107,13 +107,52 @@ func Lt(x, y Lin) Formula { return LE(x.Sub(y).AddConst(1)) }
 // Eq returns the formula x = y.
 func Eq(x, y Lin) Formula { return EQ(x.Sub(y)) }
 
+// linearDedupMax is the id count up to which an idSet finds duplicates
+// by a linear scan; past it a map takes over.
+const linearDedupMax = 16
+
+// idSet records interned ids for deduplication: a linear scan over an
+// inline array while it holds at most linearDedupMax ids, a map past
+// that. Most formula nodes and cubes are small, and the scan allocates
+// nothing.
+type idSet struct {
+	small [linearDedupMax]ID
+	n     int // ids in small; unused once seen is set
+	seen  map[ID]bool
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id ID) bool {
+	if s.seen == nil {
+		for _, x := range s.small[:s.n] {
+			if x == id {
+				return false
+			}
+		}
+		if s.n < linearDedupMax {
+			s.small[s.n] = id
+			s.n++
+			return true
+		}
+		s.seen = make(map[ID]bool, 2*linearDedupMax)
+		for _, x := range s.small {
+			s.seen[x] = true
+		}
+	}
+	if s.seen[id] {
+		return false
+	}
+	s.seen[id] = true
+	return true
+}
+
 // nodeBuilder accumulates the flattened, deduplicated children of a
 // Conj/Disj. Dedup is by interned id; the string map only exists when
 // some child overflowed the intern table.
 type nodeBuilder struct {
 	out     []Formula
-	ids     []ID
-	seen    map[ID]bool
+	ids     []ID // ids[i] is out[i]'s id, 0 past the intern cap
+	seen    idSet
 	seenStr map[string]bool
 	allIn   bool // every child has a non-zero id
 }
@@ -122,15 +161,13 @@ func newNodeBuilder(n int) nodeBuilder {
 	return nodeBuilder{
 		out:   make([]Formula, 0, n),
 		ids:   make([]ID, 0, n),
-		seen:  make(map[ID]bool, n),
 		allIn: true,
 	}
 }
 
 func (b *nodeBuilder) add(g Formula) {
 	if id := KeyID(g); id != 0 {
-		if !b.seen[id] {
-			b.seen[id] = true
+		if b.seen.add(id) {
 			b.out = append(b.out, g)
 			b.ids = append(b.ids, id)
 		}
@@ -151,7 +188,15 @@ func (b *nodeBuilder) add(g Formula) {
 // Conj returns the conjunction of fs, flattened, deduplicated and
 // constant-folded.
 func Conj(fs ...Formula) Formula {
-	b := newNodeBuilder(len(fs))
+	n := 0 // children after flattening, so the builder never regrows
+	for _, f := range fs {
+		if a, ok := f.(And); ok {
+			n += len(a.Fs)
+		} else {
+			n++
+		}
+	}
+	b := newNodeBuilder(n)
 	add := func(g Formula) bool {
 		if c, ok := g.(Bool); ok {
 			return bool(c) // false aborts
@@ -188,7 +233,15 @@ func Conj(fs ...Formula) Formula {
 // Disj returns the disjunction of fs, flattened, deduplicated and
 // constant-folded.
 func Disj(fs ...Formula) Formula {
-	b := newNodeBuilder(len(fs))
+	n := 0 // children after flattening, so the builder never regrows
+	for _, f := range fs {
+		if o, ok := f.(Or); ok {
+			n += len(o.Fs)
+		} else {
+			n++
+		}
+	}
+	b := newNodeBuilder(n)
 	add := func(g Formula) bool {
 		if c, ok := g.(Bool); ok {
 			return !bool(c) // true aborts

@@ -90,6 +90,17 @@ func cubesOf(f Formula, max int) ([]Cube, bool) {
 			if !ok {
 				return nil, false
 			}
+			if len(cs) == 1 {
+				// A conjunctive child extends every cube in place: each
+				// cube in out has a backing array of its own, built here.
+				if len(out) > max {
+					return nil, false
+				}
+				for i := range out {
+					out[i] = append(out[i], cs[0]...)
+				}
+				continue
+			}
 			var next []Cube
 			for _, base := range out {
 				for _, c := range cs {
@@ -115,7 +126,7 @@ func cubesOf(f Formula, max int) ([]Cube, bool) {
 // constant folding alone.
 func simplifyCube(c Cube) (Cube, bool) {
 	out := make(Cube, 0, len(c))
-	seen := map[ID]bool{}
+	var seen idSet
 	var seenStr map[string]bool // fallback for intern-table overflow
 	for _, a := range c {
 		l := a.L.normalizeLE()
@@ -126,10 +137,9 @@ func simplifyCube(c Cube) (Cube, bool) {
 			continue
 		}
 		if id := LinID(l); id != 0 {
-			if seen[id] {
+			if !seen.add(id) {
 				continue
 			}
-			seen[id] = true
 		} else {
 			if seenStr == nil {
 				seenStr = map[string]bool{}

@@ -342,67 +342,83 @@ type pathStep struct {
 // are excluded (such a path is actionable); without it the search decides
 // whether any abstract path remains at all (no path = proof).
 func (st *stepper) findPath(avoid bool) []pathStep {
-	o, q := st.o, st.q
-	type nodeReg struct {
-		node cfg.NodeID
-		reg  *region
+	o := st.o
+	seen := &o.fwd
+	seen.reset(o.regCount)
+	if n := o.regCount - len(o.parent); n > 0 {
+		o.parent = append(o.parent, make([]pathStep, n)...)
 	}
-	parent := map[int]pathStep{}
-	seen := map[int]bool{}
-	var queue []nodeReg
+	queue := o.queue[:0]
 	for _, r := range o.regAt[o.proc.Entry] {
 		st.charge(1)
-		s := st.sat(logic.Conj(r.f, q.Q.Pre))
-		if s.Known && !s.Sat {
+		if !st.entryOpen(r) {
 			continue
 		}
-		seen[r.id] = true
-		queue = append(queue, nodeReg{o.proc.Entry, r})
+		seen.add(r.id)
+		o.parent[r.id] = pathStep{}
+		queue = append(queue, r)
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.reg.target && cur.node == o.proc.Exit {
-			// Reconstruct.
-			var rev []pathStep
-			at := cur.reg.id
-			for {
-				stp, ok := parent[at]
-				if !ok {
-					break
-				}
-				rev = append(rev, stp)
-				at = stp.from.id
-			}
-			out := make([]pathStep, len(rev))
-			for i := range rev {
-				out[i] = rev[len(rev)-1-i]
-			}
-			return out
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		if cur.target && cur.node == o.proc.Exit {
+			o.queue = queue[:0]
+			return o.pathTo(cur)
 		}
 		for _, ei := range o.proc.Out[cur.node] {
 			e := o.proc.Edges[ei]
 			for _, r2 := range o.regAt[e.To] {
-				if seen[r2.id] {
+				if seen.has(r2.id) {
 					continue
 				}
-				k := edgeKey{ei, cur.reg.id, r2.id}
+				k := edgeKey{ei, cur.id, r2.id}
 				if o.elim[k] {
 					continue
 				}
 				if avoid && (o.stuck[k] || hasPending(o, k)) {
 					continue
 				}
-				if !st.edgeOpen(k, e, cur.reg, r2) {
+				if !st.edgeOpen(k, e, cur, r2) {
 					continue
 				}
-				seen[r2.id] = true
-				parent[r2.id] = pathStep{ei, cur.reg, r2}
-				queue = append(queue, nodeReg{e.To, r2})
+				seen.add(r2.id)
+				o.parent[r2.id] = pathStep{ei, cur, r2}
+				queue = append(queue, r2)
 			}
 		}
 	}
+	o.queue = queue[:0]
 	return nil
+}
+
+// pathTo reconstructs findPath's path to r from the BFS parents; an entry
+// seed's parent is the zero step.
+func (o *obj) pathTo(r *region) []pathStep {
+	n := 0
+	for stp := o.parent[r.id]; stp.from != nil; stp = o.parent[stp.from.id] {
+		n++
+	}
+	out := make([]pathStep, n)
+	for stp := o.parent[r.id]; stp.from != nil; stp = o.parent[stp.from.id] {
+		n--
+		out[n] = stp
+	}
+	return out
+}
+
+// entryOpen reports (with caching on the region) whether entry region r
+// may intersect φ1. A cached answer is charged as the solver call it
+// replaces, so PUNCH cost does not depend on the cache.
+func (st *stepper) entryOpen(r *region) bool {
+	if r.entry != 0 {
+		st.charge(4)
+		return r.entry > 0
+	}
+	s := st.sat(logic.Conj(r.f, st.q.Q.Pre))
+	r.entry = 1
+	if s.Known && !s.Sat {
+		r.entry = -1
+	}
+	return r.entry > 0
 }
 
 func hasPending(o *obj, k edgeKey) bool {
@@ -479,11 +495,11 @@ func (st *stepper) fanOut() {
 			continue
 		}
 		for _, from := range o.regAt[e.From] {
-			if !fwd[from.id] {
+			if !fwd.has(from.id) {
 				continue
 			}
 			for _, to := range o.regAt[e.To] {
-				if !bwd[to.id] {
+				if !bwd.has(to.id) {
 					continue
 				}
 				k := edgeKey{ei, from.id, to.id}
@@ -507,65 +523,66 @@ func (st *stepper) fanOut() {
 // reachableRegions computes the region IDs forward-reachable from the
 // entry regions intersecting φ1 (reverse=false), or backward-co-reachable
 // from the target regions (reverse=true), over non-eliminated open edges
-// (pending edges included — this is a may-reachability sweep).
-func (st *stepper) reachableRegions(reverse bool) map[int]bool {
-	o, q := st.o, st.q
-	seen := map[int]bool{}
-	type nodeReg struct {
-		node cfg.NodeID
-		reg  *region
+// (pending edges included — this is a may-reachability sweep). The set
+// returned is the obj's scratch for that direction, valid until the next
+// search in it (findPath searches forward).
+func (st *stepper) reachableRegions(reverse bool) *regSet {
+	o := st.o
+	seen := &o.fwd
+	if reverse {
+		seen = &o.bwd
 	}
-	var queue []nodeReg
+	seen.reset(o.regCount)
+	queue := o.queue[:0]
 	if reverse {
 		for _, r := range o.regAt[o.proc.Exit] {
 			if r.target {
-				seen[r.id] = true
-				queue = append(queue, nodeReg{o.proc.Exit, r})
+				seen.add(r.id)
+				queue = append(queue, r)
 			}
 		}
 	} else {
 		for _, r := range o.regAt[o.proc.Entry] {
-			s := st.sat(logic.Conj(r.f, q.Q.Pre))
-			if s.Known && !s.Sat {
+			if !st.entryOpen(r) {
 				continue
 			}
-			seen[r.id] = true
-			queue = append(queue, nodeReg{o.proc.Entry, r})
+			seen.add(r.id)
+			queue = append(queue, r)
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		if reverse {
 			for _, ei := range o.proc.In[cur.node] {
 				e := o.proc.Edges[ei]
 				for _, r2 := range o.regAt[e.From] {
-					if seen[r2.id] || o.elim[edgeKey{ei, r2.id, cur.reg.id}] {
+					if seen.has(r2.id) || o.elim[edgeKey{ei, r2.id, cur.id}] {
 						continue
 					}
-					if !st.edgeOpen(edgeKey{ei, r2.id, cur.reg.id}, e, r2, cur.reg) {
+					if !st.edgeOpen(edgeKey{ei, r2.id, cur.id}, e, r2, cur) {
 						continue
 					}
-					seen[r2.id] = true
-					queue = append(queue, nodeReg{e.From, r2})
+					seen.add(r2.id)
+					queue = append(queue, r2)
 				}
 			}
 		} else {
 			for _, ei := range o.proc.Out[cur.node] {
 				e := o.proc.Edges[ei]
 				for _, r2 := range o.regAt[e.To] {
-					if seen[r2.id] || o.elim[edgeKey{ei, cur.reg.id, r2.id}] {
+					if seen.has(r2.id) || o.elim[edgeKey{ei, cur.id, r2.id}] {
 						continue
 					}
-					if !st.edgeOpen(edgeKey{ei, cur.reg.id, r2.id}, e, cur.reg, r2) {
+					if !st.edgeOpen(edgeKey{ei, cur.id, r2.id}, e, cur, r2) {
 						continue
 					}
-					seen[r2.id] = true
-					queue = append(queue, nodeReg{e.To, r2})
+					seen.add(r2.id)
+					queue = append(queue, r2)
 				}
 			}
 		}
 	}
+	o.queue = queue[:0]
 	return seen
 }
 

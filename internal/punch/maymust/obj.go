@@ -26,7 +26,34 @@ type region struct {
 	f    logic.Formula
 	// target marks regions descending from the initial φ2-region at exit.
 	target bool
+	// entry caches, for an entry region, whether f ∧ φ1 may be
+	// satisfiable: 0 unchecked, +1 open, -1 shut. Neither f nor the
+	// query's φ1 changes over the region's life.
+	entry int8
 }
+
+// regSet is a set of region IDs backed by a slice indexed by ID. Region
+// IDs are dense (obj.regCount), and bumping the generation empties the
+// set in O(1): an ID is a member when its stamp equals the generation.
+type regSet struct {
+	gen   uint32
+	stamp []uint32
+}
+
+// reset empties the set and sizes it for IDs below n.
+func (s *regSet) reset(n int) {
+	if n > len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: old stamps could alias the new generation
+		clear(s.stamp)
+		s.gen = 1
+	}
+}
+
+func (s *regSet) has(id int) bool { return s.stamp[id] == s.gen }
+func (s *regSet) add(id int)      { s.stamp[id] = s.gen }
 
 // edgeKey identifies an abstract edge: a CFG edge index together with the
 // source and destination region IDs.
@@ -81,6 +108,13 @@ type obj struct {
 	// pointPre caches whether a must summary's precondition denotes a
 	// single state (keyed by summary string).
 	pointPre map[string]int8
+
+	// Region-search scratch reused across findPath and reachableRegions
+	// calls: forward and backward visited sets, findPath's BFS parents
+	// (indexed by region ID, valid for visited IDs) and the BFS queue.
+	fwd, bwd regSet
+	parent   []pathStep
+	queue    []*region
 
 	initialized bool
 }
@@ -161,13 +195,19 @@ func (o *obj) replaceRegion(r *region, parts ...*region) {
 		}
 		return ks
 	}
+	// Elimination and stuck marks are only looked up for attached
+	// regions, so once r is retired its own keys are dead: drop them, or
+	// every later split rescans them.
 	for _, m := range []map[edgeKey]bool{o.elim, o.stuck} {
 		var add []edgeKey
 		for k, v := range m {
-			if !v {
+			if k.from != r.id && k.to != r.id {
 				continue
 			}
-			add = append(add, migrate(k)...)
+			delete(m, k)
+			if v {
+				add = append(add, migrate(k)...)
+			}
 		}
 		for _, k := range add {
 			m[k] = true

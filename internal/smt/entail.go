@@ -58,14 +58,14 @@ func shardOf(key entailKey) uint32 {
 	return uint32(h>>33) % entailShards
 }
 
-// shardOfStr picks a stripe by FNV-1a over a fallback string key.
-func shardOfStr(key string) uint32 {
+// fnv32 is FNV-1a over a fallback key, for picking a stripe.
+func fnv32[S ~string | ~[]byte](key S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return h % entailShards
+	return h
 }
 
 func (c *entailCache) get(key entailKey) (bool, bool) {
@@ -87,7 +87,7 @@ func (c *entailCache) put(key entailKey, v bool) {
 }
 
 func (c *entailCache) getStr(key string) (bool, bool) {
-	sh := &c.shards[shardOfStr(key)]
+	sh := &c.shards[fnv32(key)%entailShards]
 	sh.mu.RLock()
 	v, ok := sh.ms[key]
 	sh.mu.RUnlock()
@@ -95,7 +95,7 @@ func (c *entailCache) getStr(key string) (bool, bool) {
 }
 
 func (c *entailCache) putStr(key string, v bool) {
-	sh := &c.shards[shardOfStr(key)]
+	sh := &c.shards[fnv32(key)%entailShards]
 	sh.mu.Lock()
 	if sh.ms == nil || len(sh.ms) >= maxEntailPerShard {
 		sh.ms = make(map[string]bool)

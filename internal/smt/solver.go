@@ -17,7 +17,7 @@
 package smt
 
 import (
-	"sync"
+	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/lang"
@@ -64,15 +64,13 @@ type Solver struct {
 	maxDNF int
 	// maxConflicts caps theory-conflict iterations before giving up.
 	maxConflicts int
-	// cache memoizes Sat results by formula structure.
-	cache    sync.Map
-	cacheLen int64
+	// satMemo memoizes Sat results by formula structure (memo.go).
+	satMemo resultMemo
 	// cubeMemo memoizes satCube verdicts by the sorted interned ids of
 	// the cube's atoms: Fourier–Motzkin over a cube is a pure function
 	// of the atom set, so elimination work is shared across the
 	// near-identical assignments successive DPLL iterations produce.
-	cubeMemo    sync.Map
-	cubeMemoLen int64
+	cubeMemo resultMemo
 	// entail memoizes Implies/Valid verdicts by formula-key pair; nil
 	// until EnableEntailmentCache so the disabled path is untouched.
 	entail *entailCache
@@ -80,12 +78,6 @@ type Solver struct {
 	// so StatsSnapshot can report the per-solver-lifetime delta.
 	internHitsBase int64
 }
-
-// Bounds on the Sat and satCube memoization tables.
-const (
-	maxCacheEntries = 1 << 15
-	maxCubeMemo     = 1 << 14
-)
 
 // New returns a solver with default resource limits. The entailment
 // cache starts disabled; callers opt in with EnableEntailmentCache.
@@ -140,22 +132,21 @@ func (s *Solver) tick(n int64) { atomic.AddInt64(&s.stats.Ticks, n) }
 func (s *Solver) Sat(f logic.Formula) Result {
 	atomic.AddInt64(&s.stats.SatCalls, 1)
 	s.tick(1)
-	var key any
-	if id := logic.KeyID(f); id != 0 {
-		key = id
-	} else {
-		key = logic.Key(f)
+	id := logic.KeyID(f)
+	if id == 0 {
+		key := []byte(logic.Key(f))
+		if r, ok := s.satMemo.getBytes(key); ok {
+			return r
+		}
+		r := s.satUncached(f)
+		s.satMemo.putBytes(key, r)
+		return r
 	}
-	if v, ok := s.cache.Load(key); ok {
-		return v.(Result)
+	if r, ok := s.satMemo.get(id); ok {
+		return r
 	}
 	r := s.satUncached(f)
-	// Bounded memoization: once the cap is reached new results are simply
-	// not cached (no eviction, so no synchronization hazards).
-	if atomic.LoadInt64(&s.cacheLen) < maxCacheEntries {
-		atomic.AddInt64(&s.cacheLen, 1)
-		s.cache.Store(key, r)
-	}
+	s.satMemo.put(id, r)
 	return r
 }
 
@@ -202,17 +193,17 @@ func (s *Solver) satUncached(f logic.Formula) Result {
 // a hit costs one tick instead of re-running elimination.
 func (s *Solver) satCube(c logic.Cube) Result {
 	atomic.AddInt64(&s.stats.TheoryChecks, 1)
-	key, keyed := cubeKey(c)
+	var buf [8 * 16]byte
+	key, keyed := cubeKey(c, buf[:0])
 	if keyed {
-		if v, ok := s.cubeMemo.Load(key); ok {
+		if v, ok := s.cubeMemo.getBytes(key); ok {
 			s.tick(1)
-			return v.(Result)
+			return v
 		}
 	}
 	r := s.satCubeUncached(c)
-	if keyed && atomic.LoadInt64(&s.cubeMemoLen) < maxCubeMemo {
-		atomic.AddInt64(&s.cubeMemoLen, 1)
-		s.cubeMemo.Store(key, r)
+	if keyed {
+		s.cubeMemo.putBytes(key, r)
 	}
 	return r
 }
@@ -240,19 +231,23 @@ func (s *Solver) satCubeUncached(c logic.Cube) Result {
 }
 
 // cubeKey canonicalizes a cube as the sorted interned ids of its atom
-// terms, packed into a string for map use. False when any term is not
-// internable (table cap) or the cube contains an equality.
-func cubeKey(c logic.Cube) (string, bool) {
-	ids := make([]uint64, len(c))
-	for i, a := range c {
+// terms, packed little-endian and appended to buf. False when any term is
+// not internable (table cap) or the cube contains an equality.
+func cubeKey(c logic.Cube, buf []byte) ([]byte, bool) {
+	var small [16]logic.ID
+	ids := small[:0]
+	if len(c) > len(small) {
+		ids = make([]logic.ID, 0, len(c))
+	}
+	for _, a := range c {
 		if a.Eq {
-			return "", false
+			return nil, false
 		}
 		id := logic.LinID(a.L)
 		if id == 0 {
-			return "", false
+			return nil, false
 		}
-		ids[i] = uint64(id)
+		ids = append(ids, id)
 	}
 	// Insertion sort: cubes are small and nearly sorted.
 	for i := 1; i < len(ids); i++ {
@@ -260,13 +255,10 @@ func cubeKey(c logic.Cube) (string, bool) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	buf := make([]byte, 0, 8*len(ids))
 	for _, id := range ids {
-		buf = append(buf,
-			byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-			byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
 	}
-	return string(buf), true
+	return buf, true
 }
 
 // rationallySat runs real-shadow FM elimination to refute the cube over
